@@ -1,10 +1,10 @@
-"""Ablation benchmark: specialised LV simulator versus the generic CRN stack.
+"""Ablation benchmark: specialised LV simulator versus the lowered generic CRN.
 
-DESIGN.md calls out the two-tier simulator design (a generic Gillespie/CRN
-stack plus a specialised two-species jump-chain simulator).  This benchmark
-quantifies the speed difference on identical workloads and checks that the two
-tiers agree statistically on the majority-consensus probability, which is the
-property the experiments rely on when they use the fast path exclusively.
+The LV network from :func:`repro.crn.build_lv_network`, lowered with
+:meth:`Scenario.from_network`, runs on the generic scenario engine; the
+specialised two-species jump-chain simulator runs the same chain directly.
+This benchmark times both on identical workloads and checks that they agree
+statistically on the majority-consensus probability.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from repro.crn.builders import build_lv_network
-from repro.kinetics import ConsensusReached, JumpChainSimulator
 from repro.lv.params import LVParams
 from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
+from repro.scenario.engine import run_scenario
+from repro.scenario.spec import TERM_CONSENSUS, Scenario
 
 _PARAMS = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
 _STATE = LVState(96, 64)
@@ -35,16 +36,10 @@ def _generic_success_rate(seed: int) -> float:
         alpha0=_PARAMS.alpha0,
         alpha1=_PARAMS.alpha1,
     )
-    x0, x1 = network.species
-    simulator = JumpChainSimulator(network)
-    stop = ConsensusReached(x0, x1)
-    rng = np.random.default_rng(seed)
-    wins = 0
-    for _ in range(_RUNS):
-        trajectory = simulator.run({x0: _STATE.x0, x1: _STATE.x1}, stop=stop, rng=rng)
-        final = trajectory.final_mapping()
-        wins += int(final[x0] > 0 and final[x1] == 0)
-    return wins / _RUNS
+    finals, _, codes, _, _ = run_scenario(
+        Scenario.from_network(network), _STATE.counts, _RUNS, 10**7, seed
+    )
+    return float(np.mean((codes == TERM_CONSENSUS) & (finals[:, 0] > 0)))
 
 
 def test_specialised_simulator(benchmark):

@@ -3,7 +3,7 @@
 The :mod:`repro` package implements the discrete, stochastic two-species
 Lotka–Volterra models of Függer, Nowak and Rybicki (PODC 2024) together with
 the machinery needed to reproduce the paper's results: general chemical
-reaction networks and Gillespie-style simulators, single-species birth–death
+reaction networks lowered onto one scenario engine, single-species birth–death
 and dominating chains, Monte-Carlo and exact majority-consensus analysis,
 baseline protocols from prior work, and the experiment harness regenerating
 every row of the paper's Table 1.
@@ -39,21 +39,8 @@ from repro.crn import (
     Species,
     Reaction,
     ReactionNetwork,
-    CompiledNetwork,
     build_lv_network,
     build_birth_death_network,
-)
-from repro.kinetics import (
-    DirectMethodSimulator,
-    NextReactionSimulator,
-    JumpChainSimulator,
-    TauLeapingSimulator,
-    Trajectory,
-    EnsembleResult,
-    ConsensusReached,
-    ExtinctionReached,
-    MaxEvents,
-    EventKind,
 )
 from repro.chains import (
     BirthDeathChain,
@@ -113,20 +100,8 @@ __all__ = [
     "Species",
     "Reaction",
     "ReactionNetwork",
-    "CompiledNetwork",
     "build_lv_network",
     "build_birth_death_network",
-    # Kinetics
-    "DirectMethodSimulator",
-    "NextReactionSimulator",
-    "JumpChainSimulator",
-    "TauLeapingSimulator",
-    "Trajectory",
-    "EnsembleResult",
-    "ConsensusReached",
-    "ExtinctionReached",
-    "MaxEvents",
-    "EventKind",
     # Chains
     "BirthDeathChain",
     "certify_nice",

@@ -76,7 +76,6 @@ class ContractsConfig:
     engine_paths: tuple[str, ...] = (
         "src/repro/lv",
         "src/repro/scenario",
-        "src/repro/kinetics",
         "src/repro/store",
         "src/repro/crn",
     )

@@ -111,10 +111,10 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
     ),
     "repro.scenario.engine": (
         StreamConsumer(
-            "run_scenario_members",
+            "run_scenario",
             "both",
-            "spawns each member's (step, tail) pair from the caller-derived "
-            "root seed and dispatches the per-member advance in member order",
+            "spawns one member's (step, tail) pair from the caller-derived "
+            "root seed and dispatches the advance, then the scalar tail",
         ),
         StreamConsumer(
             "_advance_member_numpy",

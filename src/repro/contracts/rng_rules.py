@@ -1,6 +1,6 @@
 """RC1xx — RNG-discipline rules.
 
-Engine code (``lv/``, ``scenario/``, ``kinetics/``, ``store/``, ``crn/``)
+Engine code (``lv/``, ``scenario/``, ``store/``, ``crn/``)
 must be deterministic given its seeds: no hidden-global-state RNG
 (:data:`~repro.contracts.rules.RC101`), no wall-clock or OS entropy
 (:data:`~repro.contracts.rules.RC102`), Generator construction only inside

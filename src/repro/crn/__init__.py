@@ -10,23 +10,20 @@ complete CRN formalism:
 * :class:`~repro.crn.network.ReactionNetwork` — a validated collection of
   species and reactions exposing propensity evaluation and the stoichiometry
   matrix,
-* :class:`~repro.crn.compiled.CompiledNetwork` — the same network lowered to
-  dense numpy arrays with vectorized (and batched) mass-action propensity
-  evaluation, used by every simulator's inner loop,
 * :mod:`~repro.crn.builders` — convenience constructors for the networks used
   throughout the paper (self-destructive / non-self-destructive LV, birth–death
   chains, the δ=0 models of prior work).
 
-The general simulators in :mod:`repro.kinetics` operate on any
-:class:`ReactionNetwork` via its compiled form; the specialised two-species
-simulators in :mod:`repro.lv` bypass this layer for speed but are validated
-against it in the test suite.
+A network of at least two species runs on the one stochastic engine through
+:meth:`repro.scenario.spec.Scenario.from_network`, which lowers it to dense
+mass-action tables for :func:`repro.scenario.engine.run_scenario`; the
+specialised two-species simulators in :mod:`repro.lv` are validated against
+that path in the test suite.
 """
 
 from repro.crn.species import Species
 from repro.crn.reaction import Reaction
 from repro.crn.network import ReactionNetwork
-from repro.crn.compiled import CompiledNetwork
 from repro.crn.builders import (
     build_birth_death_network,
     build_lv_network,
@@ -38,7 +35,6 @@ __all__ = [
     "Species",
     "Reaction",
     "ReactionNetwork",
-    "CompiledNetwork",
     "build_birth_death_network",
     "build_lv_network",
     "build_pure_birth_network",

@@ -16,8 +16,8 @@ non-self-destructive (Eq. 2)::
 
 Reaction labels follow a fixed scheme (``birth:Xi``, ``death:Xi``,
 ``inter:Xi`` for the interspecific reaction in which species ``i`` is the
-*aggressor* at rate ``αi``, and ``intra:Xi``) which the event classifiers in
-:mod:`repro.kinetics.events` and :mod:`repro.lv` rely on.
+*aggressor* at rate ``αi``, and ``intra:Xi``), so a reaction can be looked up
+by its role with :meth:`ReactionNetwork.reaction_by_label`.
 """
 
 from __future__ import annotations

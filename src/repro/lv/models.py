@@ -18,8 +18,8 @@ class LVModel:
     generic CRN representation so that the same parameters can be run through
 
     * the fast specialised simulator (:class:`repro.lv.simulator.LVJumpChainSimulator`),
-    * any of the generic simulators in :mod:`repro.kinetics` (via
-      :attr:`network`), and
+    * the generic scenario engine (via :attr:`network` and
+      :meth:`repro.scenario.spec.Scenario.from_network`), and
     * the deterministic ODE (:class:`repro.lv.ode.DeterministicLV`).
 
     Examples

@@ -1,10 +1,8 @@
 """Fast, specialised jump-chain simulator for two-species LV systems.
 
-The generic CRN simulators in :mod:`repro.kinetics` are convenient but pay a
-per-step cost for dictionaries and propensity vectors.  The experiments in the
-paper need millions of trajectories of the *same* two-species system, so this
-module implements the embedded jump chain directly on a pair of integer
-counts, with
+The experiments in the paper need millions of trajectories of the *same*
+two-species system, so this module implements the embedded jump chain
+directly on a pair of integer counts rather than on reaction tables, with
 
 * per-event classification (birth/death/interspecific/intraspecific and which
   species was involved),
@@ -15,8 +13,8 @@ counts, with
   the current minority or deaths of the current majority), which Theorem 13
   bounds by ``O(log n)`` in expectation.
 
-Statistical agreement with the generic simulators is covered by integration
-tests; the experiments use this class exclusively.
+Agreement with the generic scenario engine, running the lowered
+:func:`repro.crn.build_lv_network`, is covered by integration tests.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 The specialised lock-step engines in :mod:`repro.lv.ensemble` /
 :mod:`repro.lv.tau` stay byte-frozen on the default two-species workload;
-every *other* registered scenario executes here, driven entirely by the
-frozen :class:`~repro.scenario.spec.Scenario` tables: dense ``(W, S)`` count
-buffers, ``(M, W)`` propensity tables, spec-defined good/bad classification,
-and spec-defined absorbing/consensus predicates over the opinion species.
+every *other* registered scenario, and any reaction network lowered by
+:meth:`~repro.scenario.spec.Scenario.from_network`, executes here, driven
+entirely by the frozen :class:`~repro.scenario.spec.Scenario` tables: dense
+``(W, S)`` count buffers, ``(M, W)`` propensity tables, spec-defined
+good/bad classification, and spec-defined absorbing/consensus predicates
+over the opinion species.
 
 The RNG consumption contract mirrors the two-species engine's documented
 one, so fused and solo runs stay bitwise interchangeable and results are
@@ -58,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SCENARIO_TAU_TAIL_POPULATION",
+    "run_scenario",
     "run_scenario_members",
     "run_scenario_members_tau",
 ]
@@ -290,7 +293,7 @@ def _advance_member_numpy(
         if collect_stats:
             good_counts[alive_rows] += good_vec[selected]
             population = states[alive_rows].sum(axis=1)
-            np.maximum(max_totals[alive_rows], population, out=max_totals[alive_rows])
+            max_totals[alive_rows] = np.maximum(max_totals[alive_rows], population)
         _classify_after_step(
             scenario, states, events, codes, running, alive_rows, max_events
         )
@@ -416,56 +419,81 @@ def run_scenario_members(
     member-seed derivation), each spawning the member's step/tail generator
     pair.  Members may come from different scenario families.
     """
-    from repro.lv.ensemble import SCALAR_FINISH_WIDTH
-
     results = []
     for member, seed in zip(members, seeds):
         scenario = build_scenario(member.scenario, member.params)
-        step_generator, tail_generator = spawn_generators(seed, 2)
-        width = member.num_replicates
-        counts = tuple(int(value) for value in member.initial_state)
-        states = np.tile(np.array(counts, dtype=np.int64), (width, 1))
-        events = np.zeros(width, dtype=np.int64)
-        codes = np.zeros(width, dtype=np.int8)
-        good_counts = np.zeros(width, dtype=np.int64)
-        max_totals = np.full(width, sum(counts), dtype=np.int64)
-        running = np.ones(width, dtype=bool)
-        _initial_codes(scenario, states, codes, running)
-        collect_stats = collect == "full"
-        advance = (
-            _advance_member_native if engine == "numba" else _advance_member_numpy
-        )
-        advance(
+        arrays = run_scenario(
             scenario,
-            states,
-            running,
-            events,
-            codes,
-            good_counts,
-            max_totals,
+            member.initial_state,
+            member.num_replicates,
             member.max_events,
-            step_generator,
-            collect_stats,
-            SCALAR_FINISH_WIDTH,
+            seed,
+            collect=collect,
+            engine=engine,
         )
-        _finish_member_tail(
-            scenario,
-            states,
-            running,
-            events,
-            codes,
-            good_counts,
-            max_totals,
-            member.max_events,
-            tail_generator,
-            collect_stats,
-        )
-        results.append(
-            _member_result(
-                member, scenario, states, events, codes, good_counts, max_totals
-            )
-        )
+        results.append(_member_result(member, scenario, *arrays))
     return results
+
+
+def run_scenario(
+    scenario: Scenario,
+    initial_counts: Sequence[int],
+    num_replicates: int,
+    max_events: int,
+    seed: int,
+    *,
+    collect: str = "full",
+    engine: str = "numpy",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact execution of *num_replicates* replicas of one scenario.
+
+    Every replica starts from *initial_counts*; *seed* spawns the step/tail
+    generator pair of the RNG contract above.  Any :class:`Scenario` runs
+    here, registered or lowered from a network
+    (:meth:`Scenario.from_network`).  Returns the per-replica arrays
+    ``(finals, total_events, termination_codes, good_events,
+    max_total_population)``, ``finals`` of shape ``(R, S)``.
+    """
+    from repro.lv.ensemble import SCALAR_FINISH_WIDTH
+
+    step_generator, tail_generator = spawn_generators(seed, 2)
+    width = num_replicates
+    counts = tuple(int(value) for value in initial_counts)
+    states = np.tile(np.array(counts, dtype=np.int64), (width, 1))
+    events = np.zeros(width, dtype=np.int64)
+    codes = np.zeros(width, dtype=np.int8)
+    good_counts = np.zeros(width, dtype=np.int64)
+    max_totals = np.full(width, sum(counts), dtype=np.int64)
+    running = np.ones(width, dtype=bool)
+    _initial_codes(scenario, states, codes, running)
+    collect_stats = collect == "full"
+    advance = _advance_member_native if engine == "numba" else _advance_member_numpy
+    advance(
+        scenario,
+        states,
+        running,
+        events,
+        codes,
+        good_counts,
+        max_totals,
+        max_events,
+        step_generator,
+        collect_stats,
+        SCALAR_FINISH_WIDTH,
+    )
+    _finish_member_tail(
+        scenario,
+        states,
+        running,
+        events,
+        codes,
+        good_counts,
+        max_totals,
+        max_events,
+        tail_generator,
+        collect_stats,
+    )
+    return states, events, codes, good_counts, max_totals
 
 
 def run_scenario_members_tau(
@@ -577,7 +605,7 @@ def _run_member_tau(
         if collect_stats:
             good_counts[alive_rows] += firings[good_vec].sum(axis=0)
             population = states[alive_rows].sum(axis=1)
-            np.maximum(max_totals[alive_rows], population, out=max_totals[alive_rows])
+            max_totals[alive_rows] = np.maximum(max_totals[alive_rows], population)
         _classify_after_step(
             scenario, states, events, codes, running, alive_rows, max_events
         )

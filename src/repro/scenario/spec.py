@@ -29,11 +29,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.exceptions import InvalidConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.crn.network import ReactionNetwork
 
 __all__ = [
     "DEFAULT_SCENARIO",
@@ -80,7 +83,7 @@ class Scenario:
         Mass-action orders, one row per reaction: ``reactants[m][s]`` is how
         many copies of species ``s`` reaction ``m`` consumes for its
         propensity (0, 1, or 2; at most total order 2 per reaction, the same
-        envelope :class:`repro.crn.CompiledNetwork` compiles).
+        envelope :class:`repro.crn.Reaction` accepts).
     changes:
         Net state change per firing, one row per reaction.  Bounded below by
         ``-reactants`` so counts can never go negative under exact SSA.
@@ -173,6 +176,36 @@ class Scenario:
                 f"opinion_species must be distinct indices in [0, {s}), "
                 f"got {self.opinion_species}"
             )
+
+    @classmethod
+    def from_network(cls, network: "ReactionNetwork") -> "Scenario":
+        """Lower a mass-action :class:`~repro.crn.network.ReactionNetwork`.
+
+        The tables follow the network's species and reaction order.  Every
+        species is an opinion species and no reaction is classified good;
+        networks the tables cannot express (fewer than two species, no
+        reactions) raise :class:`InvalidConfigurationError`.  The lowered
+        scenario runs on :func:`repro.scenario.engine.run_scenario`.
+
+        >>> from repro.crn import build_lv_network
+        >>> network = build_lv_network(beta=1.0, delta=1.0, alpha0=0.5, alpha1=0.5)
+        >>> scenario = Scenario.from_network(network)
+        >>> scenario.species, scenario.num_reactions
+        (('X0', 'X1'), 6)
+        """
+        reactants = np.zeros((network.num_reactions, network.num_species), dtype=np.int64)
+        for m, reaction in enumerate(network.reactions):
+            for species, order in reaction.reactants.items():
+                reactants[m, network.species_index(species)] = order
+        return cls(
+            name=network.name,
+            species=tuple(species.name for species in network.species),
+            rates=tuple(reaction.rate for reaction in network.reactions),
+            reactants=tuple(map(tuple, reactants.tolist())),
+            changes=tuple(map(tuple, network.stoichiometry_matrix().T.tolist())),
+            good=(False,) * network.num_reactions,
+            opinion_species=tuple(range(network.num_species)),
+        )
 
     # ------------------------------------------------------------------
     # Shapes

@@ -55,7 +55,9 @@ __all__ = [
 #: scenario fingerprint, payloads carry ``scenario``/``initial_counts``/
 #: ``finals`` for generic-scenario ensembles, and ``counts`` may have more
 #: than two species.
-RESULT_SCHEMA_VERSION = 2
+#: Version 3: generic-scenario payloads carry a ``max_total_population`` that
+#: tracks growth during the lock-step and leap phases too.
+RESULT_SCHEMA_VERSION = 3
 
 
 def canonical_json(payload: Any) -> str:

@@ -1,9 +1,12 @@
-"""Tests for the compiled propensity engine (:mod:`repro.crn.compiled`).
+"""Tests for lowering a reaction network to scenario tables.
 
-The central contract is bitwise exactness: for every network the builders can
-produce, the compiled mass-action evaluation must return the very same floats
-as the dict-based :meth:`Reaction.propensity` path, so simulators can switch
-between the two without perturbing trajectories.
+:meth:`Scenario.from_network` compiles a :class:`ReactionNetwork` into the
+dense mass-action tables the scenario engine runs.  The central contract is
+agreement with the dict-based :meth:`Reaction.propensity` path: bitwise on
+unary and order-0 reactions, which both paths evaluate as ``rate · x``, and
+to rounding on binary reactions, whose operands the two paths multiply in a
+different grouping (the scenario tables use the canonical species order and
+``x·(x−1)·0.5``).
 """
 
 from __future__ import annotations
@@ -11,47 +14,43 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crn.builders import (
-    build_birth_death_network,
-    build_lv_network,
-    build_pure_birth_network,
-    build_single_species_logistic_network,
-)
-from repro.crn.compiled import CompiledNetwork
+from repro.crn.builders import build_birth_death_network, build_lv_network
 from repro.crn.network import ReactionNetwork
 from repro.crn.reaction import Reaction
 from repro.crn.species import Species
-from repro.exceptions import InvalidConfigurationError, ModelError
+from repro.exceptions import InvalidConfigurationError
+from repro.scenario.spec import Scenario
 
 
 def _builder_networks() -> list[ReactionNetwork]:
-    """One representative network per builder configuration.
+    """Representative two-species networks from the LV builder.
 
-    Covers every reaction shape the compiler handles: order 0 is absent from
-    the builders but covered separately below; unary (births, deaths),
-    heterogeneous binary (interspecific), and homogeneous binary
-    (intraspecific) reactions all appear, under both competition mechanisms
-    and with deliberately asymmetric, non-unit rates.
+    Unary (births, deaths), heterogeneous binary (interspecific), and
+    homogeneous binary (intraspecific) reactions all appear, under both
+    competition mechanisms and with deliberately asymmetric, non-unit rates.
+    Order 0 is absent from the builders and covered separately below.
     """
     return [
         build_lv_network(
-            beta=1.3, delta=0.7, alpha0=0.9, alpha1=1.1,
-            gamma0=0.4, gamma1=0.2, self_destructive=True,
+            beta=1.3,
+            delta=0.7,
+            alpha0=0.9,
+            alpha1=1.1,
+            gamma0=0.4,
+            gamma1=0.2,
+            self_destructive=True,
         ),
         build_lv_network(
-            beta=0.5, delta=1.5, alpha0=0.25, alpha1=2.0,
-            gamma0=0.1, gamma1=0.3, self_destructive=False,
+            beta=0.5,
+            delta=1.5,
+            alpha0=0.25,
+            alpha1=2.0,
+            gamma0=0.1,
+            gamma1=0.3,
+            self_destructive=False,
         ),
         build_lv_network(beta=1.0, delta=1.0, alpha0=1.0, alpha1=1.0),
         build_lv_network(beta=0.0, delta=1.0, alpha0=0.5, alpha1=0.5),
-        build_birth_death_network(birth_rate=0.5, death_rate=1.0),
-        build_pure_birth_network(birth_rate=2.0),
-        build_single_species_logistic_network(
-            birth_rate=1.0, death_rate=0.2, intra_rate=0.3
-        ),
-        build_single_species_logistic_network(
-            birth_rate=0.7, death_rate=0.0, intra_rate=1.9, self_destructive=False
-        ),
     ]
 
 
@@ -59,139 +58,99 @@ NETWORKS = _builder_networks()
 NETWORK_IDS = [f"{net.name}-{net.num_reactions}r" for net in NETWORKS]
 
 
+def _assert_matches_dict_path(
+    network: ReactionNetwork, scenario: Scenario, vector: np.ndarray
+) -> None:
+    expected = network.propensities(network.vector_to_state(vector))
+    produced = scenario.propensities(vector)
+    binary = scenario.reactant_matrix.sum(axis=1) == 2
+    assert np.array_equal(produced[~binary], expected[~binary])
+    np.testing.assert_allclose(produced[binary], expected[binary], rtol=1e-12)
+
+
 @pytest.mark.parametrize("network", NETWORKS, ids=NETWORK_IDS)
 class TestBitwiseExactness:
     def test_matches_dict_path_on_random_states(self, network, rng):
-        compiled = CompiledNetwork(network)
+        scenario = Scenario.from_network(network)
         for _ in range(250):
             vector = rng.integers(0, 60, size=network.num_species)
-            expected = np.asarray(
-                network.propensities(network.vector_to_state(vector)), dtype=float
-            )
-            produced = compiled.propensities(vector)
-            # Bitwise equality, not approximate: the compiled path must run
-            # the same float operations in the same order.
-            assert np.array_equal(produced, expected)
+            _assert_matches_dict_path(network, scenario, vector)
 
     def test_matches_on_boundary_states(self, network):
-        compiled = CompiledNetwork(network)
+        scenario = Scenario.from_network(network)
         boundaries = [0, 1, 2]
-        grids = np.stack(
-            np.meshgrid(*[boundaries] * network.num_species), axis=-1
-        ).reshape(-1, network.num_species)
+        grids = np.stack(np.meshgrid(*[boundaries] * network.num_species), axis=-1)
+        grids = grids.reshape(-1, network.num_species)
         for vector in grids:
-            expected = np.asarray(
-                network.propensities(network.vector_to_state(vector)), dtype=float
-            )
-            assert np.array_equal(compiled.propensities(vector), expected)
+            _assert_matches_dict_path(network, scenario, vector)
 
     def test_total_propensity_matches(self, network, rng):
-        compiled = CompiledNetwork(network)
+        scenario = Scenario.from_network(network)
         vector = rng.integers(0, 40, size=network.num_species)
-        values = np.asarray(
-            network.propensities(network.vector_to_state(vector)), dtype=float
-        )
-        # Same values, same numpy pairwise summation -> identical float.
-        assert compiled.total_propensity(vector) == float(values.sum())
+        total = network.total_propensity(network.vector_to_state(vector))
+        assert float(scenario.propensities(vector).sum()) == pytest.approx(total, rel=1e-12)
 
     def test_batch_rows_match_single_evaluation(self, network, rng):
-        compiled = CompiledNetwork(network)
+        scenario = Scenario.from_network(network)
         states = rng.integers(0, 60, size=(32, network.num_species))
-        batch = compiled.propensities_batch(states)
-        assert batch.shape == (32, network.num_reactions)
-        for row, vector in zip(batch, states):
-            assert np.array_equal(row, compiled.propensities(vector))
-
-    def test_negative_counts_clamped_like_dict_path(self, network):
-        compiled = CompiledNetwork(network)
-        vector = np.full(network.num_species, -3, dtype=np.int64)
-        clamped = np.zeros(network.num_species, dtype=np.int64)
-        assert np.array_equal(
-            compiled.propensities(vector), compiled.propensities(clamped)
-        )
+        rows = scenario.propensity_rows(states)
+        assert rows.shape == (network.num_reactions, 32)
+        for column, vector in zip(rows.T, states):
+            assert np.array_equal(column, scenario.propensities(vector))
 
 
 class TestCompiledStructure:
     def test_changes_match_stoichiometry(self):
         network = build_lv_network(beta=1.0, delta=1.0, alpha0=0.5, alpha1=0.5)
-        compiled = CompiledNetwork(network)
-        assert np.array_equal(compiled.changes, network.stoichiometry_matrix().T)
+        scenario = Scenario.from_network(network)
+        assert np.array_equal(scenario.change_matrix, network.stoichiometry_matrix().T)
 
-    def test_labels_in_reaction_order(self):
-        network = build_birth_death_network(birth_rate=0.5, death_rate=1.0)
-        compiled = CompiledNetwork(network)
-        assert compiled.labels == tuple(r.label for r in network.reactions)
+    def test_species_and_rates_in_network_order(self):
+        network = build_lv_network(beta=0.5, delta=1.0, alpha0=0.25, alpha1=0.75)
+        scenario = Scenario.from_network(network)
+        assert scenario.species == tuple(species.name for species in network.species)
+        assert scenario.rates == tuple(reaction.rate for reaction in network.reactions)
+
+    def test_every_species_votes_and_no_reaction_is_good(self):
+        scenario = Scenario.from_network(
+            build_lv_network(beta=1.0, delta=1.0, alpha0=0.5, alpha1=0.5)
+        )
+        assert scenario.opinion_species == (0, 1)
+        assert not any(scenario.good)
+        assert not scenario.has_override
 
     def test_orders_recorded(self):
         network = build_lv_network(
             beta=1.0, delta=1.0, alpha0=0.5, alpha1=0.5, gamma0=0.2, gamma1=0.2
         )
-        compiled = CompiledNetwork(network)
+        scenario = Scenario.from_network(network)
         expected = [reaction.order for reaction in network.reactions]
-        assert list(compiled.orders) == expected
+        assert list(scenario.reactant_matrix.sum(axis=1)) == expected
 
     def test_empty_network_rejected(self):
-        network = ReactionNetwork(species=[Species("X")])
-        with pytest.raises(ModelError):
-            CompiledNetwork(network)
+        network = ReactionNetwork(species=[Species("X"), Species("Y")])
+        with pytest.raises(InvalidConfigurationError, match="at least one reaction"):
+            Scenario.from_network(network)
+
+    def test_single_species_network_rejected(self):
+        network = build_birth_death_network(birth_rate=0.5, death_rate=1.0)
+        with pytest.raises(InvalidConfigurationError, match="at least 2 species"):
+            Scenario.from_network(network)
 
     def test_wrong_state_shape_rejected(self):
-        compiled = CompiledNetwork(
-            build_birth_death_network(birth_rate=0.5, death_rate=1.0)
+        scenario = Scenario.from_network(
+            build_lv_network(beta=1.0, delta=1.0, alpha0=0.5, alpha1=0.5)
         )
         with pytest.raises(InvalidConfigurationError):
-            compiled.propensities([1, 2, 3])
-        with pytest.raises(InvalidConfigurationError):
-            compiled.propensities_batch(np.zeros((4, 3), dtype=np.int64))
+            scenario.propensities([1, 2, 3])
 
     def test_order_zero_reaction_compiled(self):
-        x = Species("X")
-        network = ReactionNetwork(species=[x])
+        x, y = Species("X"), Species("Y")
+        network = ReactionNetwork(species=[x, y])
         network.add_reaction(Reaction({}, {x: 1}, rate=1.7, label="influx"))
-        compiled = CompiledNetwork(network)
-        state = network.vector_to_state(np.array([5]))
-        expected = np.asarray(network.propensities(state), dtype=float)
-        assert np.array_equal(compiled.propensities(np.array([5])), expected)
+        network.add_reaction(Reaction({y: 1}, {}, rate=0.3, label="decay"))
+        scenario = Scenario.from_network(network)
+        vector = np.array([5, 4])
+        expected = network.propensities(network.vector_to_state(vector))
+        assert np.array_equal(scenario.propensities(vector), expected)
         assert expected[0] == 1.7
-
-
-class TestOverrides:
-    def _network(self) -> ReactionNetwork:
-        return build_birth_death_network(birth_rate=0.5, death_rate=1.0)
-
-    def test_override_replaces_compiled_value(self):
-        network = self._network()
-        label = network.reactions[0].label
-        compiled = CompiledNetwork(
-            network, overrides={label: lambda state: 42.0 + state[0]}
-        )
-        values = compiled.propensities(np.array([3]))
-        assert values[0] == 45.0
-        # The other reaction keeps its mass-action value.
-        expected = np.asarray(
-            network.propensities(network.vector_to_state(np.array([3]))), dtype=float
-        )
-        assert values[1] == expected[1]
-
-    def test_override_applies_to_batch(self):
-        network = self._network()
-        label = network.reactions[1].label
-        compiled = CompiledNetwork(network, overrides={label: lambda state: 7.0})
-        batch = compiled.propensities_batch(np.array([[1], [2], [3]]))
-        assert np.all(batch[:, 1] == 7.0)
-
-    def test_has_overrides_flag(self):
-        network = self._network()
-        assert not CompiledNetwork(network).has_overrides
-        label = network.reactions[0].label
-        assert CompiledNetwork(network, overrides={label: lambda s: 0.0}).has_overrides
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ModelError):
-            CompiledNetwork(self._network(), overrides={"no-such": lambda s: 0.0})
-
-    def test_non_callable_override_rejected(self):
-        network = self._network()
-        label = network.reactions[0].label
-        with pytest.raises(ModelError):
-            CompiledNetwork(network, overrides={label: 3.0})

@@ -1,25 +1,26 @@
-"""Direct tests of the :class:`~repro.crn.compiled.CompiledNetwork` override slot.
+"""The scenario's affine rate override on a network lowered from crn.
 
-The override slot is the generic escape hatch for non-mass-action kinetics;
-the scenario engine's affine ``rate + k·x`` law is one concrete user.  These
-tests pin down the slot's contract: scalar overrides replace exactly their
-reaction's compiled value, batch evaluation prefers the vectorized form of
-the callable and falls back per-row when the callable doesn't support it,
-and the batch path always matches the dict-evaluated single-state reference.
+Non-mass-action rates enter a scenario through its affine ``rate_linear``
+slot: reaction ``m`` fires at effective rate ``k_m + l_m · x`` before the
+mass-action factor, the ``k_unlig + k_lig·n_cat`` catalysis law.  These tests
+attach that slot to a lowered X0/X1/C catalysis network and pin down its
+contract: the override changes exactly its own reactions, the result equals
+the registered ``catalysis`` family, and the vectorized rows agree with the
+dict-evaluated mass-action reference on every other reaction.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import dataclasses
 
-from repro.crn.builders import build_lv_network
-from repro.crn.compiled import CompiledNetwork
+import numpy as np
+
 from repro.crn.network import ReactionNetwork
 from repro.crn.reaction import Reaction
 from repro.crn.species import Species
 from repro.lv.params import LVParams
 from repro.scenario.registry import CATALYSIS_K_LIG, build_scenario
+from repro.scenario.spec import Scenario
 
 
 #: The rates the catalysis network/scenario pair below is built from.  The
@@ -33,183 +34,68 @@ def _catalysis_network() -> tuple[ReactionNetwork, str, str]:
     network = ReactionNetwork(name="catalysis")
     x0 = network.add_species(Species("X0"))
     x1 = network.add_species(Species("X1"))
-    catalyst = network.add_species(Species("C"))
+    network.add_species(Species("C"))
     beta, delta = CAT_PARAMS.beta, CAT_PARAMS.delta
     network.add_reaction(Reaction({x0: 1}, {x0: 2}, rate=beta, label="birth:X0"))
     network.add_reaction(Reaction({x1: 1}, {x1: 2}, rate=beta, label="birth:X1"))
     network.add_reaction(Reaction({x0: 1}, {}, rate=delta, label="death:X0"))
     network.add_reaction(Reaction({x1: 1}, {}, rate=delta, label="death:X1"))
-    network.add_reaction(
-        Reaction({x0: 1, x1: 1}, {catalyst: 0}, rate=CAT_PARAMS.alpha0, label="inter:X0")
-    )
-    network.add_reaction(
-        Reaction({x0: 1, x1: 1}, {catalyst: 0}, rate=CAT_PARAMS.alpha1, label="inter:X1")
-    )
+    network.add_reaction(Reaction({x0: 1, x1: 1}, {}, rate=CAT_PARAMS.alpha0, label="inter:X0"))
+    network.add_reaction(Reaction({x0: 1, x1: 1}, {}, rate=CAT_PARAMS.alpha1, label="inter:X1"))
     return network, "inter:X0", "inter:X1"
 
 
-def _affine_override(base: float, coefficient: float):
-    """The catalysis law in the spec's canonical operand order."""
-
-    def rate(state: np.ndarray) -> float:
-        a = base + coefficient * float(state[2])
-        a = a * float(state[0])
-        a = a * float(state[1])
-        return a
-
-    return rate
+def _with_catalyst_coupling(network: ReactionNetwork, coefficients: dict[str, float]) -> Scenario:
+    """Lower *network*, coupling the labelled reactions' rates to ``C``."""
+    scenario = Scenario.from_network(network)
+    labels = [reaction.label for reaction in network.reactions]
+    catalyst = scenario.species.index("C")
+    linear = [[0.0] * scenario.num_species for _ in labels]
+    for label, coefficient in coefficients.items():
+        linear[labels.index(label)][catalyst] = coefficient
+    return dataclasses.replace(scenario, rate_linear=tuple(tuple(row) for row in linear))
 
 
 class TestScalarOverrides:
     def test_override_only_touches_its_reaction(self):
         network, label, _ = _catalysis_network()
-        plain = CompiledNetwork(network)
-        patched = CompiledNetwork(network, overrides={label: lambda state: 1234.5})
+        plain = Scenario.from_network(network)
+        patched = _with_catalyst_coupling(network, {label: 0.5})
         state = np.array([10, 8, 5])
+        index = [reaction.label for reaction in network.reactions].index(label)
         expected = plain.propensities(state).copy()
-        index = patched.labels.index(label)
-        expected[index] = 1234.5
+        expected[index] = (CAT_PARAMS.alpha0 + 0.5 * 5.0) * 10.0 * 8.0
         assert np.array_equal(patched.propensities(state), expected)
 
     def test_affine_override_matches_scenario_tables(self):
         network, inter0, inter1 = _catalysis_network()
-        compiled = CompiledNetwork(
-            network,
-            overrides={
-                inter0: _affine_override(CAT_PARAMS.alpha0, CATALYSIS_K_LIG),
-                inter1: _affine_override(CAT_PARAMS.alpha1, CATALYSIS_K_LIG),
-            },
+        lowered = _with_catalyst_coupling(
+            network, {inter0: CATALYSIS_K_LIG, inter1: CATALYSIS_K_LIG}
         )
         scenario = build_scenario("catalysis", CAT_PARAMS)
+        assert lowered.rates == scenario.rates
+        assert lowered.reactants == scenario.reactants
+        assert lowered.changes == scenario.changes
+        assert lowered.rate_linear == scenario.rate_linear
         rng = np.random.default_rng(42)
         for state in rng.integers(0, 60, size=(20, 3)):
-            assert np.array_equal(
-                compiled.propensities(state), scenario.propensities(state)
-            )
+            assert np.array_equal(lowered.propensities(state), scenario.propensities(state))
 
 
 class TestBatchOverrides:
-    def _network(self):
-        return build_lv_network(beta=1.0, delta=1.0, alpha0=0.5, alpha1=0.5)
-
-    def test_vectorized_override_used_for_batches(self):
-        network = self._network()
-        label = network.reactions[0].label
-        calls = []
-
-        def vectorized(states):
-            calls.append(np.ndim(states))
-            states = np.atleast_2d(states)
-            return 2.0 * states[:, 0].astype(np.float64)
-
-        compiled = CompiledNetwork(network, overrides={label: vectorized})
-        states = np.array([[3, 2], [5, 1], [0, 4]])
-        batch = compiled.propensities_batch(states)
-        index = compiled.labels.index(label)
-        assert np.array_equal(batch[:, index], 2.0 * states[:, 0])
-        # The whole batch went through one vectorized call, not a row loop.
-        assert calls == [2]
-
     def test_batch_matches_dict_evaluated_reference_per_row(self):
         network, inter0, inter1 = _catalysis_network()
-        compiled = CompiledNetwork(
-            network,
-            overrides={
-                inter0: _affine_override(CAT_PARAMS.alpha0, CATALYSIS_K_LIG),
-                inter1: _affine_override(CAT_PARAMS.alpha1, CATALYSIS_K_LIG),
-            },
+        lowered = _with_catalyst_coupling(
+            network, {inter0: CATALYSIS_K_LIG, inter1: CATALYSIS_K_LIG}
         )
         rng = np.random.default_rng(7)
         states = rng.integers(0, 50, size=(13, 3))
-        batch = compiled.propensities_batch(states)
-        for row in range(states.shape[0]):
-            # The dict-evaluated path is the ground truth for the
-            # mass-action part; the override rows must equal the scalar
-            # callable applied to that row.
-            single = compiled.propensities(states[row])
-            reference = network.propensities(network.vector_to_state(states[row]))
-            override_rows = [
-                compiled.labels.index(inter0),
-                compiled.labels.index(inter1),
-            ]
-            mass_action = np.ones(len(reference), dtype=bool)
-            mass_action[override_rows] = False
-            assert np.array_equal(batch[row][mass_action], reference[mass_action])
-            assert np.array_equal(batch[row], single)
-
-    def test_scalar_override_falls_back_to_row_loop(self):
-        network = self._network()
-        label = network.reactions[0].label
-        compiled = CompiledNetwork(
-            network, overrides={label: lambda state: float(state[0]) + 0.5}
-        )
-        states = np.array([[3, 2], [5, 1], [0, 4]])
-        batch = compiled.propensities_batch(states)
-        index = compiled.labels.index(label)
-        assert np.array_equal(batch[:, index], states[:, 0] + 0.5)
-
-    def test_wrong_shaped_vectorized_result_falls_back(self):
-        network = self._network()
-        label = network.reactions[0].label
-
-        def bad_vectorized(states):
-            if np.ndim(states) == 2:
-                return np.zeros(99)  # wrong length: must be rejected
-            return float(states[0])
-
-        compiled = CompiledNetwork(network, overrides={label: bad_vectorized})
-        states = np.array([[3, 2], [5, 1], [7, 0]])
-        batch = compiled.propensities_batch(states)
-        index = compiled.labels.index(label)
-        assert np.array_equal(batch[:, index], states[:, 0].astype(float))
-
-    def test_square_batch_skips_ambiguous_vectorized_attempt(self):
-        # B == S: a scalar override reading state[0] on a (B, S) matrix
-        # would return a plausible-looking length-B vector, so the batch
-        # evaluator must not offer it the matrix at all.
-        network = self._network()
-        label = network.reactions[0].label
-        seen_dims = []
-
-        def scalar(state):
-            seen_dims.append(np.ndim(state))
-            return float(state[1]) * 3.0
-
-        compiled = CompiledNetwork(network, overrides={label: scalar})
-        states = np.array([[3, 2], [5, 1]])  # B = S = 2
-        batch = compiled.propensities_batch(states)
-        index = compiled.labels.index(label)
-        assert np.array_equal(batch[:, index], states[:, 1] * 3.0)
-        assert set(seen_dims) == {1}
-
-    def test_raising_vectorized_attempt_falls_back(self):
-        network = self._network()
-        label = network.reactions[0].label
-
-        def strict_scalar(state):
-            if np.ndim(state) != 1:
-                raise ValueError("scalar override")
-            return 7.0
-
-        compiled = CompiledNetwork(network, overrides={label: strict_scalar})
-        states = np.array([[3, 2], [5, 1], [7, 0]])
-        batch = compiled.propensities_batch(states)
-        index = compiled.labels.index(label)
-        assert np.array_equal(batch[:, index], np.full(3, 7.0))
-
-
-class TestOverrideValidation:
-    def test_unknown_label_rejected(self):
-        from repro.exceptions import ModelError
-
-        network = build_lv_network(beta=1.0, delta=1.0, alpha0=0.5, alpha1=0.5)
-        with pytest.raises(ModelError, match="unknown reaction label"):
-            CompiledNetwork(network, overrides={"nope": lambda s: 0.0})
-
-    def test_non_callable_rejected(self):
-        from repro.exceptions import ModelError
-
-        network = build_lv_network(beta=1.0, delta=1.0, alpha0=0.5, alpha1=0.5)
-        label = network.reactions[0].label
-        with pytest.raises(ModelError, match="not callable"):
-            CompiledNetwork(network, overrides={label: 1.0})
+        rows = lowered.propensity_rows(states)
+        mass_action = ~lowered.linear_matrix.any(axis=1)
+        for w in range(states.shape[0]):
+            # The dict-evaluated path is the ground truth for the mass-action
+            # reactions (all unary or binary in ascending species order, so
+            # bitwise); the override rows must equal the scalar reference.
+            reference = network.propensities(network.vector_to_state(states[w]))
+            assert np.array_equal(rows[mass_action, w], reference[mass_action])
+            assert np.array_equal(rows[:, w], lowered.propensities(states[w]))

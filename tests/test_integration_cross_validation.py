@@ -1,11 +1,11 @@
 """Cross-validation integration tests.
 
 These tests tie the independent layers of the library together: the fast
-two-species simulator against the generic CRN simulators, Monte-Carlo
-estimates against exact first-step solutions, empirical thresholds against the
-exact win-probability grid, and the continuous-time process against the
-embedded jump chain.  They are the strongest correctness evidence in the suite
-because the compared implementations share almost no code.
+two-species simulator against the generic scenario engine running the lowered
+CRN, Monte-Carlo estimates against exact first-step solutions, and empirical
+thresholds against the exact win-probability grid.  They are the strongest
+correctness evidence in the suite because the compared implementations share
+almost no code.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ from repro.consensus.estimator import estimate_majority_probability
 from repro.consensus.threshold import ThresholdSearch
 from repro.consensus.theory import high_probability_target
 from repro.crn.builders import build_lv_network
-from repro.kinetics import ConsensusReached, DirectMethodSimulator, JumpChainSimulator
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
+from repro.scenario.engine import run_scenario
+from repro.scenario.spec import TERM_CONSENSUS, Scenario
 
 
 class TestFastSimulatorAgainstGenericCRN:
-    """The specialised LV simulator and the generic CRN stack describe one chain."""
+    """The specialised LV simulator and the lowered CRN describe one chain."""
 
     @pytest.mark.parametrize("self_destructive", [True, False], ids=["SD", "NSD"])
     def test_single_step_distributions_match(self, self_destructive):
@@ -49,46 +50,35 @@ class TestFastSimulatorAgainstGenericCRN:
             alpha1=params.alpha1,
             self_destructive=self_destructive,
         )
-        x0, x1 = network.species
         state = LVState(5, 3)
         expected = fast.transition_distribution(state)
 
-        # One-step empirical distribution from the generic jump-chain simulator.
-        generic = JumpChainSimulator(network)
-        rng = np.random.default_rng(2)
-        counts: dict[tuple[int, int], int] = {}
+        # One-step empirical distribution: every replica of the lowered
+        # network stops after its first event.
         samples = 3000
-        for _ in range(samples):
-            trajectory = generic.run({x0: state.x0, x1: state.x1}, max_events=1, rng=rng)
-            final = trajectory.final_mapping()
-            key = (final[x0], final[x1])
-            counts[key] = counts.get(key, 0) + 1
+        finals, *_ = run_scenario(Scenario.from_network(network), state.counts, samples, 1, seed=2)
+        counts: dict[tuple[int, int], int] = {}
+        for x0, x1 in finals.tolist():
+            counts[(x0, x1)] = counts.get((x0, x1), 0) + 1
         for target, probability in expected.items():
             assert counts.get(target, 0) / samples == pytest.approx(probability, abs=0.03)
 
-    def test_majority_probability_matches_continuous_time(self, sd_params):
-        """rho is invariant between the jump chain and the continuous-time SSA."""
+    def test_majority_probability_matches_exact(self, sd_params):
+        """rho of the lowered network on the scenario engine is the exact one."""
         network = build_lv_network(
             beta=sd_params.beta,
             delta=sd_params.delta,
             alpha0=sd_params.alpha0,
             alpha1=sd_params.alpha1,
         )
-        x0, x1 = network.species
-        stop = ConsensusReached(x0, x1)
-        rng = np.random.default_rng(4)
         runs = 250
-        continuous_wins = 0
-        for _ in range(runs):
-            trajectory = DirectMethodSimulator(network).run(
-                {x0: 24, x1: 12}, stop=stop, rng=rng
-            )
-            final = trajectory.final_mapping()
-            continuous_wins += int(final[x0] > 0 and final[x1] == 0)
-        continuous_rate = continuous_wins / runs
+        finals, _, codes, _, _ = run_scenario(
+            Scenario.from_network(network), (24, 12), runs, 10**6, seed=4
+        )
+        rate = float(np.mean((codes == TERM_CONSENSUS) & (finals[:, 0] > 0)))
 
         exact = exact_majority_probability(sd_params, (24, 12), max_count=100).win_probability
-        assert continuous_rate == pytest.approx(exact, abs=0.08)
+        assert rate == pytest.approx(exact, abs=0.08)
 
 
 class TestMonteCarloAgainstExact:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -14,7 +15,6 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 SUBPACKAGES = [
     "repro.crn",
-    "repro.kinetics",
     "repro.chains",
     "repro.lv",
     "repro.consensus",
@@ -122,3 +122,18 @@ class TestDocumentationArtifacts:
             assert identifier in experiments_doc, (
                 f"EXPERIMENTS.md does not mention experiment {identifier}"
             )
+
+    def test_readme_ci_section_names_every_workflow_job(self):
+        """README's CI bullets name exactly the top-level jobs of ci.yml."""
+        workflow = (self.ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        jobs_block = re.search(r"^jobs:\n(.*?)(?=^\S|\Z)", workflow, re.M | re.S)
+        assert jobs_block, "ci.yml has no top-level jobs: mapping"
+        workflow_jobs = re.findall(r"^  ([A-Za-z0-9_-]+):", jobs_block.group(1), re.M)
+
+        readme = (self.ROOT / "README.md").read_text()
+        section = readme.split("## Continuous integration", 1)[1].split("\n## ", 1)[0]
+        readme_jobs = re.findall(r"^\* \*\*`([A-Za-z0-9_-]+)`\*\*", section, re.M)
+
+        assert workflow_jobs, "no job ids parsed from ci.yml"
+        assert sorted(readme_jobs) == sorted(workflow_jobs)
+        assert len(readme_jobs) == len(set(readme_jobs))

@@ -9,6 +9,8 @@ The contracts under test mirror the two-species lock-step engine's:
   exact and tau backends;
 * **determinism** — same seeds, same bits, and ``collect="win"`` never
   perturbs trajectories;
+* **peak population** — ``max_total_population`` tracks growth in the
+  lock-step and leap phases, not only in the scalar tail;
 * **result semantics** — the generic ``LVEnsembleResult`` extensions
   (winners, majority consensus, concatenation, store round-trip, chunk-key
   fingerprinting).
@@ -71,6 +73,30 @@ class TestEngineParity:
         assert np.array_equal(full.finals, win.finals)
         assert np.array_equal(full.total_events, win.total_events)
         assert np.array_equal(full.termination_codes, win.termination_codes)
+
+
+class TestPeakPopulation:
+    """``max_total_population`` follows growth through every engine phase."""
+
+    #: Births outpace deaths and competition is negligible, so the
+    #: population grows until the event budget runs out.
+    GROWTH = LVParams.self_destructive(beta=1.0, delta=0.5, alpha=1e-6)
+
+    def test_exact_peak_covers_final_population(self):
+        member = SweepMember(self.GROWTH, (60, 40, 30), 12, max_events=1500, scenario="opinion3")
+        (numpy_result,) = run_scenario_members([member], [123], engine="numpy")
+        (native_result,) = run_scenario_members([member], [123], engine="numba")
+        _assert_results_bitwise_equal(numpy_result, native_result)
+        for result in (numpy_result, native_result):
+            assert np.all(result.max_total_population >= result.finals.sum(axis=1))
+
+    def test_tau_peak_covers_final_population(self):
+        member = SweepMember(
+            self.GROWTH, (6000, 4000, 3000), 4, max_events=100_000, scenario="opinion3"
+        )
+        (result,) = run_scenario_members_tau([member], [123], epsilon=0.03)
+        assert np.all(result.leap_events > 0)
+        assert np.all(result.max_total_population >= result.finals.sum(axis=1))
 
 
 class TestFusionInvariance:

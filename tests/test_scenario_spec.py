@@ -4,8 +4,8 @@ Covers the frozen :class:`Scenario` validation contract, fingerprint
 stability, the lv2 table derivation (which must reproduce the lock-step
 engine's historical literals bit for bit), the registry families, and seeded
 property-based checks of the vectorized propensity tables against the naive
-per-reaction reference — and against :class:`repro.crn.CompiledNetwork` —
-for randomly generated k-species networks.
+per-reaction reference — and through the crn round trip
+(:meth:`Scenario.from_network`) — for randomly generated k-species networks.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crn.compiled import CompiledNetwork
 from repro.crn.network import ReactionNetwork
 from repro.crn.reaction import Reaction
 from repro.crn.species import Species
@@ -275,8 +274,8 @@ def _random_scenario(rng: np.random.Generator) -> Scenario:
 def _network_from_scenario(scenario: Scenario) -> ReactionNetwork:
     """Rebuild a scenario's mass-action part as a crn ReactionNetwork.
 
-    Reactant dicts are inserted in ascending species order, so the compiled
-    first/second gather order matches the spec's canonical operand order.
+    Reactant dicts are inserted in ascending species order, so the dict
+    path's heterogeneous multiply order matches the spec's canonical one.
     """
     network = ReactionNetwork(name="random")
     species = [network.add_species(Species(name)) for name in scenario.species]
@@ -298,7 +297,7 @@ def _network_from_scenario(scenario: Scenario) -> ReactionNetwork:
 
 
 class TestPropensityProperties:
-    """Seeded property tests: tables vs naive reference vs CompiledNetwork."""
+    """Seeded property tests: tables vs naive reference vs the crn round trip."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_rows_match_naive_reference_bitwise(self, seed):
@@ -315,23 +314,27 @@ class TestPropensityProperties:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_compiled_network(self, seed):
+        """The network compiled back to tables reproduces the scenario."""
         rng = np.random.default_rng(seed + 1000)
         scenario = _random_scenario(rng)
-        compiled = CompiledNetwork(_network_from_scenario(scenario))
+        network = _network_from_scenario(scenario)
+        lowered = Scenario.from_network(network)
+        assert lowered.species == scenario.species
+        assert lowered.rates == scenario.rates
+        assert lowered.reactants == scenario.reactants
+        assert lowered.changes == scenario.changes
         states = rng.integers(0, 40, size=(11, scenario.num_species))
-        batch = compiled.propensities_batch(states)
         homogeneous = (scenario.reactant_matrix == 2).any(axis=1)
         for w in range(states.shape[0]):
-            reference = scenario.propensities(states[w])
+            reference = network.propensities(network.vector_to_state(states[w]))
+            produced = lowered.propensities(states[w])
             # Unary and heterogeneous-binary reactions share the exact
-            # operand order with the compiled path, so they must be bitwise
+            # operand order with the dict path, so they must be bitwise
             # equal; the homogeneous-pair factor is grouped differently
             # (x*(x-1)*0.5 vs x*(x-1)/2 after the rate multiply), so those
             # rows only agree to rounding.
-            assert np.array_equal(batch[w][~homogeneous], reference[~homogeneous])
-            np.testing.assert_allclose(
-                batch[w][homogeneous], reference[homogeneous], rtol=1e-12
-            )
+            assert np.array_equal(produced[~homogeneous], reference[~homogeneous])
+            np.testing.assert_allclose(produced[homogeneous], reference[homogeneous], rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_affine_override_rows_match_reference(self, seed):
